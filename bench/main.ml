@@ -238,19 +238,38 @@ type scal_row = {
   hosts : int;
   switches : int;
   sim_ms : float;
-  wall_s : float;
+  wall_s : float;      (* median over [reps] boots *)
+  wall_min_s : float;
+  wall_max_s : float;
+  reps : int;
   events : int;
+  ns_per_event : float; (* median wall time / events *)
   converged : bool;
 }
 
 (* meta-benchmark: how big a fabric this simulator itself handles — wall
    clock and engine events to full self-configuration, for every member
    of the topology family (plain/AB fat trees and the oversubscribed
-   two-layer leaf–spine) *)
+   two-layer leaf–spine). Each size boots [reps] times; the boots are
+   deterministic, so only the wall time varies between them. *)
 let run_scalability ~quick =
-  print_endline "=== Simulator scalability: time to self-configure a fabric ===";
-  Printf.printf "  %-10s %-4s %-7s %-9s %-14s %-13s %-12s\n" "family" "k" "hosts" "switches"
-    "sim time (ms)" "wall (s)" "events";
+  let reps = if quick then 1 else 3 in
+  Printf.printf "=== Simulator scalability: time to self-configure a fabric (%d boot(s) each) ===\n"
+    reps;
+  Printf.printf "  %-10s %-4s %-7s %-9s %-14s %-22s %-12s %-8s\n" "family" "k" "hosts" "switches"
+    "sim time (ms)" "wall (s) med [min-max]" "events" "ns/event";
+  (* (wall s, events, sim ms, converged); the fabric is dropped before
+     the next boot so only one is ever live *)
+  let boot fam =
+    let t0 = Unix.gettimeofday () in
+    let fab = Portland.Fabric.create @@ Portland.Fabric.Config.of_family fam in
+    let ok = Portland.Fabric.await_convergence ~timeout:(Eventsim.Time.sec 10) fab in
+    let wall = Unix.gettimeofday () -. t0 in
+    ( wall,
+      Eventsim.Engine.events_processed (Portland.Fabric.engine fab),
+      Eventsim.Time.to_ms_f (Portland.Fabric.now fab),
+      ok )
+  in
   let one family k =
     let fam =
       match Topology.Topo.Family.of_string ~k family with
@@ -258,10 +277,10 @@ let run_scalability ~quick =
       | Error e -> failwith ("bench: " ^ e)
     in
     let spec = Topology.Multirooted.spec_of_family fam in
-    let t0 = Unix.gettimeofday () in
-    let fab = Portland.Fabric.create @@ Portland.Fabric.Config.of_family fam in
-    let ok = Portland.Fabric.await_convergence ~timeout:(Eventsim.Time.sec 10) fab in
-    let t1 = Unix.gettimeofday () in
+    let runs = List.init reps (fun _ -> Gc.compact (); boot fam) in
+    let walls = List.sort compare (List.map (fun (w, _, _, _) -> w) runs) in
+    let _, events, sim_ms, _ = List.hd runs in
+    let wall = List.nth walls (reps / 2) in
     let row =
       { family;
         k;
@@ -273,18 +292,24 @@ let run_scalability ~quick =
           * (spec.Topology.Multirooted.edges_per_pod + spec.Topology.Multirooted.aggs_per_pod)
           )
           + spec.Topology.Multirooted.num_cores;
-        sim_ms = Eventsim.Time.to_ms_f (Portland.Fabric.now fab);
-        wall_s = t1 -. t0;
-        events = Eventsim.Engine.events_processed (Portland.Fabric.engine fab);
-        converged = ok }
+        sim_ms;
+        wall_s = wall;
+        wall_min_s = List.hd walls;
+        wall_max_s = List.nth walls (reps - 1);
+        reps;
+        events;
+        ns_per_event = wall *. 1e9 /. float_of_int events;
+        converged = List.for_all (fun (_, _, _, ok) -> ok) runs }
     in
-    Printf.printf "  %-10s %-4d %-7d %-9d %-14.1f %-13.2f %-12d%s\n" row.family row.k
-      row.hosts row.switches row.sim_ms row.wall_s row.events
-      (if ok then "" else "  (DID NOT CONVERGE)");
+    Printf.printf "  %-10s %-4d %-7d %-9d %-14.1f %-22s %-12d %-8.0f%s\n" row.family row.k
+      row.hosts row.switches row.sim_ms
+      (Printf.sprintf "%.2f [%.2f-%.2f]" row.wall_s row.wall_min_s row.wall_max_s)
+      row.events row.ns_per_event
+      (if row.converged then "" else "  (DID NOT CONVERGE)");
     row
   in
-  let plain_ks = if quick then [ 4; 8 ] else [ 4; 8; 12; 16; 20; 24 ] in
-  let alt_ks = if quick then [ 4 ] else [ 4; 8; 16 ] in
+  let plain_ks = if quick then [ 4; 8 ] else [ 4; 8; 12; 16; 20; 24; 32 ] in
+  let alt_ks = if quick then [ 4 ] else [ 4; 8; 16; 24 ] in
   let plain_rows = List.map (one "plain") plain_ks in
   let ab_rows = List.map (one "ab") alt_ks in
   let flat_rows = List.map (one "two-layer") alt_ks in
@@ -465,6 +490,43 @@ let json_escape s =
     s;
   Buffer.contents b
 
+(* The code the scalability rows were measured on: the checked-out commit
+   (suffixed "-dirty" when the tree has uncommitted edits) and an MD5 of
+   the library sources a boot runs, which names the code even when the
+   rows come from an uncommitted tree. *)
+let scalability_host () =
+  let commit =
+    try
+      let ic = Unix.open_process_in "git describe --always --dirty 2>/dev/null" in
+      let c = try input_line ic with End_of_file -> "" in
+      ignore (Unix.close_process_in ic);
+      if c = "" then "unknown" else c
+    with Unix.Unix_error _ | Sys_error _ -> "unknown"
+  in
+  let rec sources dir =
+    match Sys.readdir dir with
+    | exception Sys_error _ -> []
+    | names ->
+      Array.sort compare names;
+      List.concat_map
+        (fun n ->
+          let p = Filename.concat dir n in
+          if Sys.is_directory p then sources p
+          else if Filename.check_suffix n ".ml" || Filename.check_suffix n ".mli" then [ p ]
+          else [])
+        (Array.to_list names)
+  in
+  let lib_digest =
+    match sources "lib" with
+    | [] -> "unknown"
+    | ps ->
+      Digest.to_hex
+        (Digest.string
+           (String.concat ""
+              (List.map (fun p -> p ^ "\000" ^ In_channel.with_open_bin p In_channel.input_all) ps)))
+  in
+  (Domain.recommended_domain_count (), commit, lib_digest)
+
 let write_json ~out ~micro ~scal ~par ~fm_scale =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -511,13 +573,19 @@ let write_json ~out ~micro ~scal ~par ~fm_scale =
      add "    \"speedup\": %.1f\n" (full /. inc)
    | _ -> ());
   add "  },\n";
+  let cores, commit, lib_digest = scalability_host () in
+  add "  \"scalability_host\": {\"cores\": %d, \"ocaml\": \"%s\", \"commit\": \"%s\", \
+       \"lib_md5\": \"%s\"},\n"
+    cores (json_escape Sys.ocaml_version) (json_escape commit) lib_digest;
   add "  \"scalability\": [\n";
   List.iteri
     (fun i r ->
       add
         "    {\"family\": \"%s\", \"k\": %d, \"hosts\": %d, \"switches\": %d, \"sim_ms\": \
-         %.1f, \"wall_s\": %.3f, \"events\": %d, \"converged\": %b}%s\n"
-        (json_escape r.family) r.k r.hosts r.switches r.sim_ms r.wall_s r.events r.converged
+         %.1f, \"wall_s\": %.3f, \"wall_min_s\": %.3f, \"wall_max_s\": %.3f, \"reps\": %d, \
+         \"events\": %d, \"ns_per_event\": %.0f, \"converged\": %b}%s\n"
+        (json_escape r.family) r.k r.hosts r.switches r.sim_ms r.wall_s r.wall_min_s
+        r.wall_max_s r.reps r.events r.ns_per_event r.converged
         (if i = List.length scal - 1 then "" else ","))
     scal;
   add "  ],\n";

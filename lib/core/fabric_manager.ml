@@ -13,6 +13,13 @@ type sw_info = {
          discovery order and need not equal the IP-addressing pods, so
          the owning shard cannot be derived from [coords] — it must be
          remembered from the announced IPs. *)
+  mutable port_of : int array option;
+      (* [neighbors] as (neighbor id, port) pairs flattened into one array
+         sorted by neighbor id, built on demand for tree construction;
+         [None] whenever stale *)
+  mutable transit_keys : (int * int * int) list;
+      (* the (core, pod, agg) transit triples this switch's own report and
+         coordinates support, sorted — see [refresh_transit] *)
 }
 
 type pending_arp = { from_sw : int; requester_ip : Ipv4_addr.t; requester_port : int }
@@ -49,6 +56,7 @@ type group_state = {
   receivers : (int, (int, unit) Hashtbl.t) Hashtbl.t; (* edge switch id -> host port set *)
   mutable core_sw : int option;
   mutable programmed : (int * int list) list;
+  mutable seen_gen : int; (* [tree_gen] at this group's last computation; -1 = never *)
 }
 
 type counters = {
@@ -60,6 +68,8 @@ type counters = {
   fault_notices : int;
   fault_broadcasts : int;
   mcast_recomputes : int;
+  mcast_recompute_skips : int;
+  transit_updates : int;
   reports : int;
   pending_dropped : int;
   shard_failovers : int;
@@ -74,6 +84,8 @@ type counters_mut = {
   mutable m_fault_notices : int;
   mutable m_fault_broadcasts : int;
   mutable m_mcast_recomputes : int;
+  mutable m_mcast_recompute_skips : int;
+  mutable m_transit_updates : int;
   mutable m_reports : int;
   mutable m_pending_dropped : int;
   mutable m_shard_failovers : int;
@@ -100,6 +112,20 @@ type t = {
   mutable arp_gen : int; (* bumped on every migration; stamps ARP answers *)
   faults : Fault.Set.t;
   groups : (Ipv4_addr.t, group_state) Hashtbl.t;
+  mutable tree_gen : int;
+      (* bumped by every write a tree computation reads; see [bump_tree] *)
+  transit : (int, (int, (sw_info * int) list) Hashtbl.t) Hashtbl.t;
+      (* live transit map, core id -> pod -> supported aggs; see
+         [refresh_transit] *)
+  agg_namers : (int, (int, unit) Hashtbl.t) Hashtbl.t;
+      (* switch id -> ids of the switches whose report lists it as an
+         aggregation neighbor *)
+  core_index : (int, sw_info) Hashtbl.t; (* switches holding core coords *)
+  mutable cores_sorted : (int * int * sw_info) array option;
+      (* [core_index] by (stripe, member); [None] when stale *)
+  edge_index : (int, sw_info) Hashtbl.t; (* switches holding edge coords *)
+  mutable bcast_receivers : (int * int list) list option;
+      (* the broadcast group's receivers; [None] when stale *)
   c : counters_mut;
   mutable journal : Journal.hook option;
   (* scratch for [resolve_batch]'s shard grouping, grown on demand so a
@@ -150,6 +176,8 @@ let counters t =
     fault_notices = t.c.m_fault_notices;
     fault_broadcasts = t.c.m_fault_broadcasts;
     mcast_recomputes = t.c.m_mcast_recomputes;
+    mcast_recompute_skips = t.c.m_mcast_recompute_skips;
+    transit_updates = t.c.m_transit_updates;
     reports = t.c.m_reports;
     pending_dropped = t.c.m_pending_dropped;
     shard_failovers = t.c.m_shard_failovers }
@@ -305,27 +333,242 @@ let get_sw t id =
   | None ->
     let sw =
       { sw_id = id; level = None; neighbors = []; host_ports = []; coords = None;
-        owning_shard = None }
+        owning_shard = None; port_of = None; transit_keys = [] }
     in
     Hashtbl.replace t.switches id sw;
     sw
 
-let port_to sw nbr_id =
-  List.find_map (fun (port, nbr, _) -> if nbr = nbr_id then Some port else None) sw.neighbors
+let int_compare (a : int) b = compare a b
 
+(* The first port naming [nbr_id], as a scan of [neighbors] would find
+   it: the sort is stable, so among equal ids the leftmost pair is the
+   first-listed port, and the binary search finds the leftmost. *)
+let port_to sw nbr_id =
+  let idx =
+    match sw.port_of with
+    | Some idx -> idx
+    | None ->
+      let pairs =
+        List.stable_sort (fun (a, _) (b, _) -> int_compare a b)
+          (List.map (fun (port, nbr, _) -> (nbr, port)) sw.neighbors)
+      in
+      let idx = Array.make (2 * List.length pairs) 0 in
+      List.iteri
+        (fun i (nbr, port) ->
+          idx.(2 * i) <- nbr;
+          idx.((2 * i) + 1) <- port)
+        pairs;
+      sw.port_of <- Some idx;
+      idx
+  in
+  let rec search lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if idx.(2 * mid) < nbr_id then search (mid + 1) hi else search lo mid
+  in
+  let i = search 0 (Array.length idx / 2) in
+  if 2 * i < Array.length idx && idx.(2 * i) = nbr_id then Some idx.((2 * i) + 1) else None
+
+(* Coordinate-holding edges in [t.switches] order. The proxy-ARP flood
+   walks this order and its sends are part of the event stream, so it
+   must not be swapped for [edge_index]. *)
 let edges_of t = Hashtbl.fold (fun _ sw acc ->
     match sw.coords with Some (Coords.Edge _) -> sw :: acc | _ -> acc) t.switches []
 
+(* Two cores share a (stripe, member) label only under an inconsistent
+   labelling, e.g. reclaims interleaved with fresh assignment; the lower
+   switch id then comes first. *)
 let sorted_cores t =
-  let cores =
-    Hashtbl.fold
-      (fun _ sw acc ->
-        match sw.coords with
-        | Some (Coords.Core c) -> (c.stripe, c.member, sw) :: acc
-        | _ -> acc)
-      t.switches []
+  match t.cores_sorted with
+  | Some arr -> arr
+  | None ->
+    let arr =
+      Hashtbl.fold
+        (fun _ sw acc ->
+          match sw.coords with
+          | Some (Coords.Core c) -> (c.stripe, c.member, sw) :: acc
+          | _ -> acc)
+        t.core_index []
+      |> List.sort (fun (s1, m1, a) (s2, m2, b) ->
+             if s1 <> s2 then int_compare s1 s2
+             else if m1 <> m2 then int_compare m1 m2
+             else int_compare a.sw_id b.sw_id)
+      |> Array.of_list
+    in
+    t.cores_sorted <- Some arr;
+    arr
+
+(* ---------------- tree-input tracking ----------------
+
+   Tree computation ([recompute_group]) reads only the coordinates of
+   switches that hold them, those switches' reported neighbors and host
+   ports, and the fault set. Every write to one of them bumps
+   [tree_gen]; a group whose last computation saw the current generation
+   would compute the same targets again and send nothing, so it is
+   skipped. A switch without coordinates is read by no tree, which is
+   why reports from one do not bump: the [set_coords] that makes it
+   visible does. *)
+
+let bump_tree t = t.tree_gen <- t.tree_gen + 1
+
+(* Live transit map, (core id, pod) -> the aggregation switch carrying
+   that pod's traffic through that core. An entry exists iff the agg
+   holds coordinates [Agg {pod}] and either its report lists the core as
+   a core-level neighbor, or the core holds core coordinates and its
+   report lists the agg as an aggregation-level neighbor. Either side's
+   report can lag the other's (a dead link reaches the FM from both ends
+   at different times), so each switch's support is tracked separately,
+   as the sorted triples in [transit_keys], and an entry lives while any
+   support remains. Physically a core meets one agg per pod; should
+   inconsistent labels ever give an entry two candidate aggs, the lowest
+   id is served. *)
+
+let compare_triple (c1, p1, a1) (c2, p2, a2) =
+  if c1 <> c2 then int_compare c1 c2
+  else if p1 <> p2 then int_compare p1 p2
+  else int_compare a1 a2
+
+let transit_support t sw =
+  (match sw.coords with
+   | Some (Coords.Agg a) ->
+     List.filter_map
+       (fun (_, nbr, nl) ->
+         if nl = Some Ldp_msg.Core then Some (nbr, a.pod, sw.sw_id) else None)
+       sw.neighbors
+   | Some (Coords.Core _) ->
+     List.filter_map
+       (fun (_, nbr, nl) ->
+         if nl = Some Ldp_msg.Aggregation then
+           match Hashtbl.find_opt t.switches nbr with
+           | Some { coords = Some (Coords.Agg a); _ } -> Some (sw.sw_id, a.pod, nbr)
+           | _ -> None
+         else None)
+       sw.neighbors
+   | Some (Coords.Edge _) | None -> [])
+  |> List.sort_uniq compare_triple
+
+let transit_head = function (agg, _) :: _ -> agg.sw_id | [] -> -1
+
+let transit_update t (core, pod, agg_id) edit =
+  let row =
+    match Hashtbl.find_opt t.transit core with
+    | Some row -> row
+    | None ->
+      let row = Hashtbl.create 8 in
+      Hashtbl.replace t.transit core row;
+      row
   in
-  List.sort (fun (s1, m1, _) (s2, m2, _) -> compare (s1, m1) (s2, m2)) cores
+  let before = try Hashtbl.find row pod with Not_found -> [] in
+  let after = edit agg_id before in
+  if transit_head before <> transit_head after then
+    t.c.m_transit_updates <- t.c.m_transit_updates + 1;
+  match after with [] -> Hashtbl.remove row pod | _ -> Hashtbl.replace row pod after
+
+(* candidates stay sorted by agg id, each with its support count *)
+let support_add t agg_id cands =
+  let rec ins = function
+    | [] -> [ (Hashtbl.find t.switches agg_id, 1) ]
+    | (a, n) :: rest when a.sw_id = agg_id -> (a, n + 1) :: rest
+    | ((a, _) :: _) as l when a.sw_id > agg_id -> (Hashtbl.find t.switches agg_id, 1) :: l
+    | x :: rest -> x :: ins rest
+  in
+  ins cands
+
+let support_drop agg_id cands =
+  let rec del = function
+    | [] -> []
+    | (a, n) :: rest when a.sw_id = agg_id -> if n > 1 then (a, n - 1) :: rest else rest
+    | x :: rest -> x :: del rest
+  in
+  del cands
+
+let refresh_transit t sw =
+  let fresh = transit_support t sw in
+  let rec diff old fresh =
+    match (old, fresh) with
+    | [], [] -> ()
+    | o :: os, [] ->
+      transit_update t o support_drop;
+      diff os []
+    | [], f :: fs ->
+      transit_update t f (support_add t);
+      diff [] fs
+    | o :: os, f :: fs ->
+      let c = compare_triple o f in
+      if c = 0 then diff os fs
+      else if c < 0 then begin
+        transit_update t o support_drop;
+        diff os fresh
+      end
+      else begin
+        transit_update t f (support_add t);
+        diff old fs
+      end
+  in
+  diff sw.transit_keys fresh;
+  sw.transit_keys <- fresh
+
+let transit_agg t ~core ~pod =
+  match Hashtbl.find_opt t.transit core with
+  | None -> None
+  | Some row -> (
+    match Hashtbl.find_opt row pod with Some ((agg, _) :: _) -> Some agg | Some [] | None -> None)
+
+let named_aggs neighbors =
+  List.filter_map
+    (fun (_, nbr, nl) -> if nl = Some Ldp_msg.Aggregation then Some nbr else None)
+    neighbors
+
+let set_neighbors t sw neighbors =
+  List.iter
+    (fun a ->
+      match Hashtbl.find_opt t.agg_namers a with
+      | Some namers -> Hashtbl.remove namers sw.sw_id
+      | None -> ())
+    (named_aggs sw.neighbors);
+  List.iter
+    (fun a ->
+      let namers =
+        match Hashtbl.find_opt t.agg_namers a with
+        | Some namers -> namers
+        | None ->
+          let namers = Hashtbl.create 8 in
+          Hashtbl.replace t.agg_namers a namers;
+          namers
+      in
+      Hashtbl.replace namers sw.sw_id ())
+    (named_aggs neighbors);
+  sw.neighbors <- neighbors;
+  sw.port_of <- None;
+  refresh_transit t sw
+
+(* The one writer of [coords]: keeps the core/edge indexes and the
+   transit map in step. A core's support for an agg depends on the agg's
+   coordinates, so every switch naming this one refreshes too. *)
+let set_coords t sw coords =
+  (match sw.coords with
+   | Some (Coords.Core _) ->
+     Hashtbl.remove t.core_index sw.sw_id;
+     t.cores_sorted <- None
+   | Some (Coords.Edge _) ->
+     Hashtbl.remove t.edge_index sw.sw_id;
+     t.bcast_receivers <- None
+   | Some (Coords.Agg _) | None -> ());
+  sw.coords <- Some coords;
+  (match coords with
+   | Coords.Core _ ->
+     Hashtbl.replace t.core_index sw.sw_id sw;
+     t.cores_sorted <- None
+   | Coords.Edge _ ->
+     Hashtbl.replace t.edge_index sw.sw_id sw;
+     t.bcast_receivers <- None
+   | Coords.Agg _ -> ());
+  bump_tree t;
+  refresh_transit t sw;
+  match Hashtbl.find_opt t.agg_namers sw.sw_id with
+  | Some namers -> Hashtbl.iter (fun id () -> refresh_transit t (Hashtbl.find t.switches id)) namers
+  | None -> ()
 
 (* ---------------- coordinate assignment ---------------- *)
 
@@ -348,7 +591,7 @@ let union_labelled uf labels a b =
 let pod_of_component t root = Hashtbl.find_opt t.pod_ids root
 
 let assign_coords t sw coords =
-  sw.coords <- Some coords;
+  set_coords t sw coords;
   tracef t Eventsim.Trace.Info "assigned %a to switch %d" Coords.pp coords sw.sw_id;
   Ctrl.send_to_switch t.ctrl sw.sw_id (Msg.Assign_coords coords)
 
@@ -548,9 +791,17 @@ let try_assign_all t =
 let on_report t ~switch_id ~level ~neighbors ~host_ports =
   t.c.m_reports <- t.c.m_reports + 1;
   let sw = get_sw t switch_id in
+  let neighbors_changed = sw.neighbors <> neighbors in
+  if
+    sw.coords <> None
+    && (neighbors_changed || sw.level <> level || sw.host_ports <> host_ports)
+  then bump_tree t;
+  if neighbors_changed then set_neighbors t sw neighbors;
   sw.level <- level;
-  sw.neighbors <- neighbors;
-  sw.host_ports <- host_ports;
+  if sw.host_ports <> host_ports then begin
+    (match sw.coords with Some (Coords.Edge _) -> t.bcast_receivers <- None | _ -> ());
+    sw.host_ports <- host_ports
+  end;
   List.iter
     (fun (_, nbr, nbr_level) ->
       match (level, nbr_level) with
@@ -569,7 +820,7 @@ let on_report t ~switch_id ~level ~neighbors ~host_ports =
    fresh assignments never collide with reclaimed ones *)
 let on_reclaim t ~switch_id coords =
   let sw = get_sw t switch_id in
-  sw.coords <- Some coords;
+  set_coords t sw coords;
   sw.level <- Some (Coords.level coords);
   let claim_pod pod =
     Hashtbl.replace t.pod_ids (Uf.find t.pod_uf switch_id) pod;
@@ -649,11 +900,9 @@ let group_state t group =
   match Hashtbl.find_opt t.groups group with
   | Some g -> g
   | None ->
-    let g = { receivers = Hashtbl.create 4; core_sw = None; programmed = [] } in
+    let g = { receivers = Hashtbl.create 4; core_sw = None; programmed = []; seen_gen = -1 } in
     Hashtbl.replace t.groups group g;
     g
-
-let int_compare (a : int) b = compare a b
 
 (* switch ids are unique within a group, so ordering by id alone matches
    the old tuple order without polymorphic comparisons on the port lists *)
@@ -667,42 +916,13 @@ let receiver_list g =
     g.receivers []
   |> List.sort by_switch_id
 
-(* Transit map for tree construction: (core switch id, pod) -> the
-   aggregation switch carrying that pod's traffic through that core.
-   Physically unique under every striped wiring, and derivable from
-   either endpoint's neighbor report, so fills from both sides agree. *)
-let build_transit t =
-  let transit = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun _ sw ->
-      match sw.coords with
-      | Some (Coords.Agg a) ->
-        List.iter
-          (fun (_, nbr, nl) ->
-            if nl = Some Ldp_msg.Core && not (Hashtbl.mem transit (nbr, a.pod)) then
-              Hashtbl.replace transit (nbr, a.pod) sw)
-          sw.neighbors
-      | Some (Coords.Core _) ->
-        List.iter
-          (fun (_, nbr, nl) ->
-            if nl = Some Ldp_msg.Aggregation then
-              match Hashtbl.find_opt t.switches nbr with
-              | Some ({ coords = Some (Coords.Agg a); _ } as agg)
-                when not (Hashtbl.mem transit (sw.sw_id, a.pod)) ->
-                Hashtbl.replace transit (sw.sw_id, a.pod) agg
-              | _ -> ())
-          sw.neighbors
-      | _ -> ())
-    t.switches;
-  transit
-
-let core_viable t transit ~core_sw_id ~stripe ~member ~receiver_coords =
+let core_viable t ~core_sw_id ~stripe ~member ~receiver_coords =
   List.for_all
     (fun (pod, edge_pos) ->
       (not (Fault.Set.agg_core_down t.faults ~pod ~stripe ~member))
       && (t.spec.MR.wiring = MR.Flat
           ||
-          match Hashtbl.find_opt transit (core_sw_id, pod) with
+          match transit_agg t ~core:core_sw_id ~pod with
           | Some (agg : sw_info) ->
             (match agg.coords with
              | Some (Coords.Agg a) ->
@@ -712,39 +932,65 @@ let core_viable t transit ~core_sw_id ~stripe ~member ~receiver_coords =
     receiver_coords
 
 let send_programs t group (targets : (int * int list) list) g =
-  (* clear switches no longer in the tree, then program current ones;
-     hashed lookups keep the diff linear in the tree size *)
-  let target_set = Hashtbl.create (List.length targets * 2) in
-  List.iter (fun (sw, ports) -> Hashtbl.replace target_set sw ports) targets;
-  let old_set = Hashtbl.create (List.length g.programmed * 2) in
-  List.iter (fun (sw, ports) -> Hashtbl.replace old_set sw ports) g.programmed;
-  List.iter
-    (fun (sw, _) ->
-      if not (Hashtbl.mem target_set sw) then
-        Ctrl.send_to_switch t.ctrl sw (Msg.Mcast_program { group; out_ports = [] }))
-    g.programmed;
-  List.iter
-    (fun (sw, ports) ->
-      match Hashtbl.find_opt old_set sw with
-      | Some old when old = ports -> ()
-      | Some _ | None -> Ctrl.send_to_switch t.ctrl sw (Msg.Mcast_program { group; out_ports = ports }))
-    targets;
+  (* clear switches no longer in the tree, then program current ones.
+     Old and new port sets are both sorted by switch id, so each pass is
+     one merge walk, linear in the tree size *)
+  let send sw ports = Ctrl.send_to_switch t.ctrl sw (Msg.Mcast_program { group; out_ports = ports }) in
+  let rec clear old targets =
+    match (old, targets) with
+    | [], _ -> ()
+    | (sw, _) :: os, [] ->
+      send sw [];
+      clear os []
+    | (sw, _) :: os, (tsw, _) :: ts ->
+      if sw < tsw then begin
+        send sw [];
+        clear os targets
+      end
+      else if sw = tsw then clear os ts
+      else clear old ts
+  in
+  let rec program old targets =
+    match (old, targets) with
+    | _, [] -> ()
+    | [], (sw, ports) :: ts ->
+      send sw ports;
+      program [] ts
+    | (osw, old_ports) :: os, (sw, ports) :: ts ->
+      if osw < sw then program os targets
+      else if osw = sw then begin
+        if old_ports <> ports then send sw ports;
+        program os ts
+      end
+      else begin
+        send sw ports;
+        program old ts
+      end
+  in
+  clear g.programmed targets;
+  program g.programmed targets;
   g.programmed <- targets
 
 (* Broadcast receivers are derived from the reported host ports of the
    edge switches, not from joins, so they can be read straight off the
-   switch table instead of materialising a receiver hash per edge. *)
+   edge index instead of materialising a receiver hash per edge. Cached
+   until an edge's coordinates or host ports change. *)
 let broadcast_receivers t =
-  List.filter_map
-    (fun sw ->
-      if sw.host_ports = [] then None
-      else Some (sw.sw_id, List.sort_uniq int_compare sw.host_ports))
-    (edges_of t)
-  |> List.sort by_switch_id
+  match t.bcast_receivers with
+  | Some r -> r
+  | None ->
+    let r =
+      Hashtbl.fold
+        (fun _ sw acc ->
+          if sw.host_ports = [] then acc
+          else (sw.sw_id, List.sort_uniq int_compare sw.host_ports) :: acc)
+        t.edge_index []
+      |> List.sort by_switch_id
+    in
+    t.bcast_receivers <- Some r;
+    r
 
-let recompute_group t group =
-  t.c.m_mcast_recomputes <- t.c.m_mcast_recomputes + 1;
-  let g = group_state t group in
+let compute_tree t group g =
   let receivers =
     if Ipv4_addr.is_broadcast group then broadcast_receivers t else receiver_list g
   in
@@ -761,19 +1007,17 @@ let recompute_group t group =
           | _ -> None)
         receivers
     in
-    let transit = build_transit t in
-    let cores = sorted_cores t in
-    let n = List.length cores in
+    let arr = sorted_cores t in
+    let n = Array.length arr in
     let chosen =
       if n = 0 then None
       else begin
         let start = Ipv4_addr.multicast_group group mod n in
-        let arr = Array.of_list cores in
         let rec probe i =
           if i >= n then None
           else begin
             let stripe, member, sw = arr.((start + i) mod n) in
-            if core_viable t transit ~core_sw_id:sw.sw_id ~stripe ~member ~receiver_coords then
+            if core_viable t ~core_sw_id:sw.sw_id ~stripe ~member ~receiver_coords then
               Some (stripe, member, sw)
             else probe (i + 1)
           end
@@ -797,7 +1041,7 @@ let recompute_group t group =
       (* the agg carrying a pod's traffic through the chosen core — under
          plain striping this is the pod's agg of the core's stripe, under
          AB whatever agg physically fronts the core in that pod *)
-      let transit_agg pod = Hashtbl.find_opt transit (core_sw.sw_id, pod) in
+      let transit_agg pod = transit_agg t ~core:core_sw.sw_id ~pod in
       (* receiver edges grouped by pod, and their host ports by switch, so
          the per-agg and per-edge loops below stay linear in the tree *)
       let recv_by_pod = Hashtbl.create 16 in
@@ -834,28 +1078,29 @@ let recompute_group t group =
       add core_sw.sw_id core_ports;
       (* transit aggregation switches, in every pod: uplink toward the
          chosen core (so local senders can go up), plus down-ports to
-         receiver edges in their pod *)
+         receiver edges in their pod. They are exactly the chosen core's
+         row of the transit map. *)
       if not flat then
-        Hashtbl.iter
-          (fun _ sw ->
-            match sw.coords with
-            | Some (Coords.Agg a) -> (
-              match transit_agg a.pod with
-              | Some tsw when tsw.sw_id = sw.sw_id ->
-                let up = match port_to sw core_sw.sw_id with Some p -> [ p ] | None -> [] in
-                let down =
-                  List.filter_map (port_to sw)
-                    (try Hashtbl.find recv_by_pod a.pod with Not_found -> [])
-                in
-                add sw.sw_id (up @ down)
-              | _ -> ())
-            | _ -> ())
-          t.switches;
+        (match Hashtbl.find_opt t.transit core_sw.sw_id with
+         | None -> ()
+         | Some row ->
+           Hashtbl.iter
+             (fun pod cands ->
+               match cands with
+               | (sw, _) :: _ ->
+                 let up = match port_to sw core_sw.sw_id with Some p -> [ p ] | None -> [] in
+                 let down =
+                   List.filter_map (port_to sw)
+                     (try Hashtbl.find recv_by_pod pod with Not_found -> [])
+                 in
+                 add sw.sw_id (up @ down)
+               | [] -> ())
+             row);
       (* every edge switch: uplink toward its transit agg — or the chosen
          core itself under flat wiring (sender path) — plus local
          receiver host ports *)
-      List.iter
-        (fun sw ->
+      Hashtbl.iter
+        (fun _ sw ->
           match sw.coords with
           | Some (Coords.Edge e) ->
             let up =
@@ -869,9 +1114,60 @@ let recompute_group t group =
             let local = try Hashtbl.find recv_ports sw.sw_id with Not_found -> [] in
             add sw.sw_id (up @ local)
           | _ -> ())
-        (edges_of t);
+        t.edge_index;
       send_programs t group (List.sort by_switch_id !targets) g
   end
+
+(* Skipped when the group's last computation saw the current tree
+   generation: the same inputs give the same targets, which [send_programs]
+   would diff to nothing. [force] is for membership changes, which no
+   generation tracks. *)
+let recompute_group ?(force = false) t group =
+  let g = group_state t group in
+  if (not force) && g.seen_gen = t.tree_gen then
+    t.c.m_mcast_recompute_skips <- t.c.m_mcast_recompute_skips + 1
+  else begin
+    t.c.m_mcast_recomputes <- t.c.m_mcast_recomputes + 1;
+    g.seen_gen <- t.tree_gen;
+    compute_tree t group g
+  end
+
+(* ---------------- tree-maintenance introspection ---------------- *)
+
+type switch_view = {
+  v_id : int;
+  v_level : Ldp_msg.level option;
+  v_neighbors : (int * int * Ldp_msg.level option) list;
+  v_host_ports : int list;
+  v_coords : Coords.t option;
+}
+
+let switch_views t =
+  Hashtbl.fold
+    (fun _ sw acc ->
+      { v_id = sw.sw_id; v_level = sw.level; v_neighbors = sw.neighbors;
+        v_host_ports = sw.host_ports; v_coords = sw.coords }
+      :: acc)
+    t.switches []
+  |> List.sort (fun a b -> int_compare a.v_id b.v_id)
+
+let transit_entries t =
+  Hashtbl.fold
+    (fun core row acc ->
+      Hashtbl.fold
+        (fun pod cands acc ->
+          match cands with (agg, _) :: _ -> (core, pod, agg.sw_id) :: acc | [] -> acc)
+        row acc)
+    t.transit []
+  |> List.sort compare_triple
+
+let group_ids t = List.rev (Hashtbl.fold (fun group _ acc -> group :: acc) t.groups [])
+
+let group_receivers t group =
+  match Hashtbl.find_opt t.groups group with Some g -> receiver_list g | None -> []
+
+let group_programmed t group =
+  match Hashtbl.find_opt t.groups group with Some g -> g.programmed | None -> []
 
 let recompute_all_groups t = Hashtbl.iter (fun group _ -> recompute_group t group) t.groups
 
@@ -921,6 +1217,7 @@ let on_fault_notice t ~switch_id ~neighbor =
   match translate_fault t switch_id neighbor with
   | Some f when not (Fault.Set.mem t.faults f) ->
     Fault.Set.add t.faults f;
+    bump_tree t;
     log_fault t f true;
     broadcast_faults t;
     recompute_all_groups t
@@ -937,6 +1234,7 @@ let on_recovery_notice t ~switch_id ~neighbor =
        enough that the extra traffic is negligible. *)
     if Fault.Set.mem t.faults f then begin
       Fault.Set.remove t.faults f;
+      bump_tree t;
       log_fault t f false
     end;
     broadcast_faults t;
@@ -1116,7 +1414,7 @@ let handle t ~from:_ (msg : Msg.to_fm) =
     in
     Hashtbl.replace ports port ();
     log_entry (core_shard t) (R_mcast { group; switch = switch_id; port; join = true });
-    recompute_group t group
+    recompute_group ~force:true t group
   | Msg.Reclaim_coords { switch_id; coords } -> on_reclaim t ~switch_id coords
   | Msg.Coords_request { switch_id } -> on_coords_request t ~switch_id
   | Msg.Mcast_leave { switch_id; group; port } ->
@@ -1127,7 +1425,7 @@ let handle t ~from:_ (msg : Msg.to_fm) =
        if Hashtbl.length ports = 0 then Hashtbl.remove g.receivers switch_id
      | None -> ());
     log_entry (core_shard t) (R_mcast { group; switch = switch_id; port; join = false });
-    recompute_group t group
+    recompute_group ~force:true t group
 
 (* ---------------- shard failover & integrity ---------------- *)
 
@@ -1282,6 +1580,13 @@ let create ?(obs = Obs.null) ?(fm_shards = 1) engine config ctrl ~spec =
       arp_gen = 0;
       faults = Fault.Set.create ();
       groups = Hashtbl.create 16;
+      tree_gen = 0;
+      transit = Hashtbl.create 64;
+      agg_namers = Hashtbl.create 128;
+      core_index = Hashtbl.create 64;
+      cores_sorted = None;
+      edge_index = Hashtbl.create 64;
+      bcast_receivers = None;
       journal = None;
       rb_idx = [||];
       rb_shard = Bytes.empty;
@@ -1289,7 +1594,7 @@ let create ?(obs = Obs.null) ?(fm_shards = 1) engine config ctrl ~spec =
       c =
         { m_arp_queries = 0; m_arp_hits = 0; m_arp_misses = 0; m_host_announces = 0;
           m_migrations = 0; m_fault_notices = 0; m_fault_broadcasts = 0; m_mcast_recomputes = 0;
-          m_reports = 0; m_pending_dropped = 0; m_shard_failovers = 0 } }
+          m_mcast_recompute_skips = 0; m_transit_updates = 0; m_reports = 0; m_pending_dropped = 0; m_shard_failovers = 0 } }
   in
   if fm_shards < 1 then invalid_arg "Fabric_manager.create: fm_shards must be >= 1";
   Obs.add_probe obs ~name:"fm" (fun () ->
@@ -1303,6 +1608,8 @@ let create ?(obs = Obs.null) ?(fm_shards = 1) engine config ctrl ~spec =
         c "fault_notices" t.c.m_fault_notices;
         c "fault_broadcasts" t.c.m_fault_broadcasts;
         c "mcast_recomputes" t.c.m_mcast_recomputes;
+        c "mcast_recompute_skips" t.c.m_mcast_recompute_skips;
+        c "transit_updates" t.c.m_transit_updates;
         c "reports" t.c.m_reports;
         c "pending_dropped" t.c.m_pending_dropped;
         c "shard_failovers" t.c.m_shard_failovers;

@@ -52,6 +52,13 @@ type counters = {
   fault_notices : int;
   fault_broadcasts : int;
   mcast_recomputes : int;
+      (** multicast/broadcast tree computations actually run *)
+  mcast_recompute_skips : int;
+      (** tree recomputations skipped because no input the tree reads
+          changed since the group's last computation *)
+  transit_updates : int;
+      (** entries of the live (core, pod) → agg transit map added,
+          removed or re-pointed *)
   reports : int;
   pending_dropped : int;
       (** pending ARP entries discarded because the asking switch died,
@@ -135,6 +142,38 @@ val insert_binding_for_test : t -> Msg.host_binding -> unit
 
 val group_core : t -> Netcore.Ipv4_addr.t -> int option
 (** Core switch currently serving a multicast group, if programmed. *)
+
+(** {1 Tree-maintenance introspection}
+
+    Read-only views of the inputs and outputs of multicast/broadcast tree
+    maintenance, for checking the incremental bookkeeping against a
+    from-scratch computation. *)
+
+type switch_view = {
+  v_id : int;
+  v_level : Netcore.Ldp_msg.level option;
+  v_neighbors : (int * int * Netcore.Ldp_msg.level option) list;
+      (** [(port, neighbor id, neighbor level)] as last reported *)
+  v_host_ports : int list;
+  v_coords : Coords.t option;
+}
+
+val switch_views : t -> switch_view list
+(** Every switch the FM has heard of, by ascending id. *)
+
+val transit_entries : t -> (int * int * int) list
+(** The live transit map as [(core id, pod, agg id)], sorted: the
+    aggregation switch carrying each pod's traffic through each core. *)
+
+val group_ids : t -> Netcore.Ipv4_addr.t list
+(** Known groups (the broadcast group included, once computed) in the
+    order a fault-driven recomputation visits them. *)
+
+val group_receivers : t -> Netcore.Ipv4_addr.t -> (int * int list) list
+(** Joined [(edge switch, sorted host ports)], by switch id. *)
+
+val group_programmed : t -> Netcore.Ipv4_addr.t -> (int * int list) list
+(** Port sets last programmed for the group, by switch id. *)
 
 val set_journal : t -> Journal.hook option -> unit
 (** Subscribe to the fabric manager's state deltas: host-binding writes
